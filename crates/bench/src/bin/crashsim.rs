@@ -41,8 +41,8 @@ use tmc_core::{
     decode_system, encode_system, memory_digest, recover_journal, FaultSpec, Journal, Mode,
     ModePolicy, System, SystemConfig,
 };
-use tmc_obs::jsonl::encode_record;
-use tmc_obs::{LinkCharge, TraceRecord};
+use tmc_obs::jsonl::{fnv1a64_fold_events, FNV1A64_BASIS};
+use tmc_obs::LinkCharge;
 use tmc_omeganet::SchemeKind;
 use tmc_simcore::SimRng;
 use tmc_workload::{Placement, SharedBlockWorkload};
@@ -62,18 +62,6 @@ const POLICIES: [ModePolicy; 3] = [
     ModePolicy::Fixed(Mode::GlobalRead),
     ModePolicy::Adaptive { window: 8 },
 ];
-
-/// FNV-1a 64-bit offset basis (streaming start state).
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// The five observables a resumed run must reproduce bit for bit.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,19 +90,14 @@ impl Runner {
             sys,
             ops_done: 0,
             events: 0,
-            trace_fnv: FNV_BASIS,
+            trace_fnv: FNV1A64_BASIS,
         }
     }
 
     fn drain(&mut self) {
-        for e in self.sys.drain_trace() {
-            self.events += 1;
-            self.trace_fnv = fnv_fold(
-                self.trace_fnv,
-                encode_record(&TraceRecord::Event(e)).as_bytes(),
-            );
-            self.trace_fnv = fnv_fold(self.trace_fnv, b"\n");
-        }
+        let events = self.sys.drain_trace();
+        self.events += events.len() as u64;
+        self.trace_fnv = fnv1a64_fold_events(self.trace_fnv, &events);
     }
 
     fn frame(&mut self) -> Vec<u8> {

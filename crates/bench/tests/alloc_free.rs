@@ -7,7 +7,9 @@
 //! * `DestSet` algebra in both its small-list and bitmap layouts,
 //! * re-writes and reads against already-materialized `MainMemory` /
 //!   `BlockStore` pages,
-//! * the `CastCache` memo-hit path through a 1024-port omega network.
+//! * the `CastCache` memo-hit path through a 1024-port omega network,
+//! * `TraceWriter::event` encoding every protocol event variant into a
+//!   reserved JSONL sink.
 //!
 //! Everything lives in one `#[test]` and the counter is thread-local, so
 //! concurrently running tests in this binary cannot pollute the counts.
@@ -18,7 +20,10 @@ use std::hint::black_box;
 
 use tmc_core::{BatchOp, System, SystemConfig};
 use tmc_memsys::{BlockAddr, BlockData, BlockSpec, BlockStore, CacheId, MainMemory, WordAddr};
-use tmc_omeganet::{CastCache, DestSet, Omega, SchemeKind, TrafficMatrix};
+use tmc_obs::{
+    FaultLabel, LinkCharge, ProtocolEvent, TraceHeader, TraceMode, TraceTrailer, TraceWriter,
+};
+use tmc_omeganet::{CastCache, DestSet, Omega, SchemeChoice, SchemeKind, TrafficMatrix};
 use tmc_simcore::SimRng;
 use tmc_workload::{MultiTenantZipfWorkload, Trace};
 
@@ -70,6 +75,7 @@ fn hot_paths_allocate_nothing_after_warmup() {
     materialized_pages_are_allocation_free();
     castcache_hits_are_allocation_free();
     batched_pipeline_is_allocation_free();
+    trace_writer_events_are_allocation_free();
 }
 
 /// The big-M cell's trace generation: after the first pass sizes the
@@ -289,4 +295,138 @@ fn batched_pipeline_is_allocation_free() {
         sys.traffic().total_bits() > bits_before,
         "measured pass moved no network traffic"
     );
+}
+
+/// The JSONL trace sink: once its line buffer has held the longest line
+/// and the sink has room, encoding and writing an event of any kind —
+/// including a cast's per-link rows at full network depth — is pure byte
+/// copying.
+fn trace_writer_events_are_allocation_free() {
+    let block = BlockAddr::new(1 << 20);
+    let links: Vec<LinkCharge> = (0..11)
+        .map(|layer| LinkCharge {
+            layer,
+            line: 1023 - layer as usize,
+            bits: 290,
+        })
+        .collect();
+    let events = vec![
+        ProtocolEvent::Read {
+            proc: 1023,
+            addr: WordAddr::new(u64::MAX),
+            value: u64::MAX,
+            hit: false,
+            cost_bits: 1_450,
+            latency: Some(14),
+            mode: Some(TraceMode::GlobalRead),
+        },
+        ProtocolEvent::Write {
+            proc: 7,
+            addr: WordAddr::new(64),
+            value: 9,
+            hit: true,
+            cost_bits: 96,
+            latency: None,
+            mode: Some(TraceMode::DistributedWrite),
+        },
+        ProtocolEvent::SetMode {
+            proc: 0,
+            addr: WordAddr::new(0),
+            mode: TraceMode::DistributedWrite,
+        },
+        ProtocolEvent::Miss {
+            proc: 1,
+            block,
+            write: true,
+            cold: true,
+        },
+        ProtocolEvent::ModeSwitch {
+            owner: 2,
+            block,
+            to: TraceMode::GlobalRead,
+            adaptive: true,
+        },
+        ProtocolEvent::OwnershipTransfer {
+            block,
+            from: 1,
+            to: 2,
+            handoff: false,
+        },
+        ProtocolEvent::Replacement {
+            proc: 3,
+            block,
+            wrote_back: true,
+        },
+        ProtocolEvent::Cast {
+            from: 1023,
+            scheme: SchemeChoice::BitVector,
+            payload_bits: 34,
+            cost_bits: 3_190,
+            links,
+        },
+        ProtocolEvent::Issue {
+            proc: 5,
+            cycle: 1 << 40,
+        },
+        ProtocolEvent::FaultInjected {
+            label: FaultLabel::LinkDown,
+            op: 12,
+            layer: Some(1),
+            line: Some(3),
+            cache: Some(4),
+            heal_op: Some(40),
+        },
+        ProtocolEvent::RetryAttempt {
+            op: 15,
+            proc: 1,
+            dest: 6,
+            attempt: 2,
+            backoff_cycles: 32,
+        },
+        ProtocolEvent::Degraded {
+            op: 16,
+            block: Some(block),
+            cache: Some(3),
+            heal_op: 40,
+        },
+        ProtocolEvent::Recovered {
+            op: 41,
+            block: Some(block),
+            cache: Some(3),
+            after_ops: 25,
+        },
+    ];
+    let header = TraceHeader {
+        version: tmc_obs::jsonl::TRACE_VERSION,
+        n_procs: N_PORTS,
+        sets: 64,
+        ways: 4,
+        words_log2: 2,
+        scheme: "combined".into(),
+        policy: "adaptive:64".into(),
+        owner_bypass: false,
+    };
+
+    let mut w = TraceWriter::new(Vec::with_capacity(1 << 16), &header).expect("header");
+    for e in &events {
+        w.event(e).expect("warmup event");
+    }
+    let n = allocations(|| {
+        for _ in 0..16 {
+            for e in &events {
+                w.event(e).expect("event");
+            }
+        }
+    });
+    assert_eq!(n, 0, "TraceWriter::event allocated {n} times after warmup");
+    assert_eq!(w.events_written(), 17 * events.len() as u64);
+    let doc = w
+        .finish(TraceTrailer {
+            events: 0,
+            fingerprint: 0,
+            total_bits: 0,
+            links: Vec::new(),
+        })
+        .expect("trailer");
+    assert_eq!(doc.iter().filter(|&&b| b == b'\n').count(), 17 * 13 + 2);
 }

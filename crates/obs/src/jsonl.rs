@@ -28,12 +28,42 @@ use tmc_memsys::{BlockAddr, WordAddr};
 /// Current trace-format version; bumped on incompatible encoding changes.
 pub const TRACE_VERSION: u64 = 1;
 
-/// FNV-1a hash of `bytes`, used to pin protocol fingerprints in trailers.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis: the hash of no bytes, and the start state
+/// of every streaming [`fnv1a64_fold`].
+pub const FNV1A64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+const FNV1A64_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Continues the FNV-1a 64-bit hash state `h` over `bytes`. Folding chunks
+/// one after another from [`FNV1A64_BASIS`] gives the [`fnv1a64`] of their
+/// concatenation.
+pub fn fnv1a64_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV1A64_PRIME);
+    }
+    h
+}
+
+/// FNV-1a hash of `bytes`, used to pin protocol fingerprints in trailers.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_fold(FNV1A64_BASIS, bytes)
+}
+
+/// Continues the FNV-1a state `h` over each event's JSONL line plus its
+/// `\n` — the event lines exactly as [`TraceWriter`] writes them — so a
+/// whole trace's events can be pinned in one word without keeping the
+/// text.
+pub fn fnv1a64_fold_events<'a>(
+    mut h: u64,
+    events: impl IntoIterator<Item = &'a ProtocolEvent>,
+) -> u64 {
+    let mut line = Vec::new();
+    for e in events {
+        line.clear();
+        encode_event_into(e, &mut line);
+        line.push(b'\n');
+        h = fnv1a64_fold(h, &line);
     }
     h
 }
@@ -86,18 +116,16 @@ pub enum TraceRecord {
     Trailer(TraceTrailer),
 }
 
-fn links_to_rows(links: &[LinkCharge]) -> Vec<Vec<u64>> {
-    links
-        .iter()
-        .map(|l| vec![u64::from(l.layer), l.line as u64, l.bits])
-        .collect()
+/// Narrows a decoded integer to `u32`, naming the field when it does not fit.
+fn narrow_u32(field: &str, v: u64) -> Result<u32, String> {
+    u32::try_from(v).map_err(|_| format!("{field} {v} does not fit in 32 bits"))
 }
 
 fn rows_to_links(rows: &[Vec<u64>]) -> Result<Vec<LinkCharge>, String> {
     rows.iter()
         .map(|row| match row[..] {
             [layer, line, bits] => Ok(LinkCharge {
-                layer: layer as u32,
+                layer: narrow_u32("link layer", layer)?,
                 line: line as usize,
                 bits,
             }),
@@ -108,191 +136,210 @@ fn rows_to_links(rows: &[Vec<u64>]) -> Result<Vec<LinkCharge>, String> {
 
 /// Encodes one record as a single JSON line (no trailing newline).
 pub fn encode_record(record: &TraceRecord) -> String {
-    let mut w = ObjectWriter::new();
+    let mut out = Vec::new();
+    encode_record_into(record, &mut out);
+    String::from_utf8(out).expect("the encoder writes only UTF-8")
+}
+
+/// Appends one record's JSON line (no trailing newline) to `out`.
+pub fn encode_record_into(record: &TraceRecord, out: &mut Vec<u8>) {
     match record {
-        TraceRecord::Header(h) => {
-            w.str("type", "header")
-                .int("version", h.version)
-                .int("n_procs", h.n_procs as u64)
-                .int("sets", h.sets as u64)
-                .int("ways", h.ways as u64)
-                .int("words_log2", u64::from(h.words_log2))
-                .str("scheme", &h.scheme)
-                .str("policy", &h.policy)
-                .bool("owner_bypass", h.owner_bypass);
+        TraceRecord::Header(h) => encode_header_into(h, out),
+        TraceRecord::Event(e) => encode_event_into(e, out),
+        TraceRecord::Trailer(t) => encode_trailer_into(t, out),
+    }
+}
+
+fn encode_header_into(h: &TraceHeader, out: &mut Vec<u8>) {
+    let mut w = ObjectWriter::new(out);
+    w.str("type", "header")
+        .int("version", h.version)
+        .int("n_procs", h.n_procs as u64)
+        .int("sets", h.sets as u64)
+        .int("ways", h.ways as u64)
+        .int("words_log2", u64::from(h.words_log2))
+        .str("scheme", &h.scheme)
+        .str("policy", &h.policy)
+        .bool("owner_bypass", h.owner_bypass);
+    w.finish();
+}
+
+fn encode_trailer_into(t: &TraceTrailer, out: &mut Vec<u8>) {
+    let mut w = ObjectWriter::new(out);
+    w.str("type", "trailer")
+        .int("events", t.events)
+        .int("fingerprint", t.fingerprint)
+        .int("total_bits", t.total_bits)
+        .links("links", &t.links);
+    w.finish();
+}
+
+/// Appends one event's JSON line (no trailing newline) to `out`, acquiring
+/// no heap memory beyond what `out` needs to grow.
+fn encode_event_into(e: &ProtocolEvent, out: &mut Vec<u8>) {
+    let mut w = ObjectWriter::new(out);
+    w.str("type", e.kind());
+    match e {
+        ProtocolEvent::Read {
+            proc,
+            addr,
+            value,
+            hit,
+            cost_bits,
+            latency,
+            mode,
         }
-        TraceRecord::Trailer(t) => {
-            w.str("type", "trailer")
-                .int("events", t.events)
-                .int("fingerprint", t.fingerprint)
-                .int("total_bits", t.total_bits)
-                .arr("links", &links_to_rows(&t.links));
-        }
-        TraceRecord::Event(e) => {
-            w.str("type", e.kind());
-            match e {
-                ProtocolEvent::Read {
-                    proc,
-                    addr,
-                    value,
-                    hit,
-                    cost_bits,
-                    latency,
-                    mode,
-                }
-                | ProtocolEvent::Write {
-                    proc,
-                    addr,
-                    value,
-                    hit,
-                    cost_bits,
-                    latency,
-                    mode,
-                } => {
-                    w.int("proc", *proc as u64)
-                        .int("addr", addr.value())
-                        .int("value", *value)
-                        .bool("hit", *hit)
-                        .int("cost_bits", *cost_bits);
-                    if let Some(l) = latency {
-                        w.int("latency", *l);
-                    }
-                    if let Some(m) = mode {
-                        w.str("mode", m.as_str());
-                    }
-                }
-                ProtocolEvent::SetMode { proc, addr, mode } => {
-                    w.int("proc", *proc as u64)
-                        .int("addr", addr.value())
-                        .str("mode", mode.as_str());
-                }
-                ProtocolEvent::Miss {
-                    proc,
-                    block,
-                    write,
-                    cold,
-                } => {
-                    w.int("proc", *proc as u64)
-                        .int("block", block.index())
-                        .bool("write", *write)
-                        .bool("cold", *cold);
-                }
-                ProtocolEvent::ModeSwitch {
-                    owner,
-                    block,
-                    to,
-                    adaptive,
-                } => {
-                    w.int("owner", *owner as u64)
-                        .int("block", block.index())
-                        .str("to", to.as_str())
-                        .bool("adaptive", *adaptive);
-                }
-                ProtocolEvent::OwnershipTransfer {
-                    block,
-                    from,
-                    to,
-                    handoff,
-                } => {
-                    w.int("block", block.index())
-                        .int("from", *from as u64)
-                        .int("to", *to as u64)
-                        .bool("handoff", *handoff);
-                }
-                ProtocolEvent::Replacement {
-                    proc,
-                    block,
-                    wrote_back,
-                } => {
-                    w.int("proc", *proc as u64)
-                        .int("block", block.index())
-                        .bool("wrote_back", *wrote_back);
-                }
-                ProtocolEvent::Cast {
-                    from,
-                    scheme,
-                    payload_bits,
-                    cost_bits,
-                    links,
-                } => {
-                    w.int("from", *from as u64)
-                        .str("scheme", scheme_choice_str(*scheme))
-                        .int("payload_bits", *payload_bits)
-                        .int("cost_bits", *cost_bits)
-                        .arr("links", &links_to_rows(links));
-                }
-                ProtocolEvent::Issue { proc, cycle } => {
-                    w.int("proc", *proc as u64).int("cycle", *cycle);
-                }
-                ProtocolEvent::FaultInjected {
-                    label,
-                    op,
-                    layer,
-                    line,
-                    cache,
-                    heal_op,
-                } => {
-                    w.str("label", label.as_str()).int("op", *op);
-                    if let Some(l) = layer {
-                        w.int("layer", u64::from(*l));
-                    }
-                    if let Some(l) = line {
-                        w.int("line", *l as u64);
-                    }
-                    if let Some(c) = cache {
-                        w.int("cache", *c as u64);
-                    }
-                    if let Some(h) = heal_op {
-                        w.int("heal_op", *h);
-                    }
-                }
-                ProtocolEvent::RetryAttempt {
-                    op,
-                    proc,
-                    dest,
-                    attempt,
-                    backoff_cycles,
-                } => {
-                    w.int("op", *op)
-                        .int("proc", *proc as u64)
-                        .int("dest", *dest as u64)
-                        .int("attempt", u64::from(*attempt))
-                        .int("backoff_cycles", *backoff_cycles);
-                }
-                ProtocolEvent::Degraded {
-                    op,
-                    block,
-                    cache,
-                    heal_op,
-                } => {
-                    w.int("op", *op);
-                    if let Some(b) = block {
-                        w.int("block", b.index());
-                    }
-                    if let Some(c) = cache {
-                        w.int("cache", *c as u64);
-                    }
-                    w.int("heal_op", *heal_op);
-                }
-                ProtocolEvent::Recovered {
-                    op,
-                    block,
-                    cache,
-                    after_ops,
-                } => {
-                    w.int("op", *op);
-                    if let Some(b) = block {
-                        w.int("block", b.index());
-                    }
-                    if let Some(c) = cache {
-                        w.int("cache", *c as u64);
-                    }
-                    w.int("after_ops", *after_ops);
-                }
+        | ProtocolEvent::Write {
+            proc,
+            addr,
+            value,
+            hit,
+            cost_bits,
+            latency,
+            mode,
+        } => {
+            w.int("proc", *proc as u64)
+                .int("addr", addr.value())
+                .int("value", *value)
+                .bool("hit", *hit)
+                .int("cost_bits", *cost_bits);
+            if let Some(l) = latency {
+                w.int("latency", *l);
+            }
+            if let Some(m) = mode {
+                w.str("mode", m.as_str());
             }
         }
+        ProtocolEvent::SetMode { proc, addr, mode } => {
+            w.int("proc", *proc as u64)
+                .int("addr", addr.value())
+                .str("mode", mode.as_str());
+        }
+        ProtocolEvent::Miss {
+            proc,
+            block,
+            write,
+            cold,
+        } => {
+            w.int("proc", *proc as u64)
+                .int("block", block.index())
+                .bool("write", *write)
+                .bool("cold", *cold);
+        }
+        ProtocolEvent::ModeSwitch {
+            owner,
+            block,
+            to,
+            adaptive,
+        } => {
+            w.int("owner", *owner as u64)
+                .int("block", block.index())
+                .str("to", to.as_str())
+                .bool("adaptive", *adaptive);
+        }
+        ProtocolEvent::OwnershipTransfer {
+            block,
+            from,
+            to,
+            handoff,
+        } => {
+            w.int("block", block.index())
+                .int("from", *from as u64)
+                .int("to", *to as u64)
+                .bool("handoff", *handoff);
+        }
+        ProtocolEvent::Replacement {
+            proc,
+            block,
+            wrote_back,
+        } => {
+            w.int("proc", *proc as u64)
+                .int("block", block.index())
+                .bool("wrote_back", *wrote_back);
+        }
+        ProtocolEvent::Cast {
+            from,
+            scheme,
+            payload_bits,
+            cost_bits,
+            links,
+        } => {
+            w.int("from", *from as u64)
+                .str("scheme", scheme_choice_str(*scheme))
+                .int("payload_bits", *payload_bits)
+                .int("cost_bits", *cost_bits)
+                .links("links", links);
+        }
+        ProtocolEvent::Issue { proc, cycle } => {
+            w.int("proc", *proc as u64).int("cycle", *cycle);
+        }
+        ProtocolEvent::FaultInjected {
+            label,
+            op,
+            layer,
+            line,
+            cache,
+            heal_op,
+        } => {
+            w.str("label", label.as_str()).int("op", *op);
+            if let Some(l) = layer {
+                w.int("layer", u64::from(*l));
+            }
+            if let Some(l) = line {
+                w.int("line", *l as u64);
+            }
+            if let Some(c) = cache {
+                w.int("cache", *c as u64);
+            }
+            if let Some(h) = heal_op {
+                w.int("heal_op", *h);
+            }
+        }
+        ProtocolEvent::RetryAttempt {
+            op,
+            proc,
+            dest,
+            attempt,
+            backoff_cycles,
+        } => {
+            w.int("op", *op)
+                .int("proc", *proc as u64)
+                .int("dest", *dest as u64)
+                .int("attempt", u64::from(*attempt))
+                .int("backoff_cycles", *backoff_cycles);
+        }
+        ProtocolEvent::Degraded {
+            op,
+            block,
+            cache,
+            heal_op,
+        } => {
+            w.int("op", *op);
+            if let Some(b) = block {
+                w.int("block", b.index());
+            }
+            if let Some(c) = cache {
+                w.int("cache", *c as u64);
+            }
+            w.int("heal_op", *heal_op);
+        }
+        ProtocolEvent::Recovered {
+            op,
+            block,
+            cache,
+            after_ops,
+        } => {
+            w.int("op", *op);
+            if let Some(b) = block {
+                w.int("block", b.index());
+            }
+            if let Some(c) = cache {
+                w.int("cache", *c as u64);
+            }
+            w.int("after_ops", *after_ops);
+        }
     }
-    w.finish()
+    w.finish();
 }
 
 struct Fields {
@@ -307,8 +354,22 @@ impl Fields {
             .ok_or_else(|| format!("missing integer field '{key}'"))
     }
 
-    fn opt_int(&self, key: &str) -> Option<u64> {
-        self.map.get(key).and_then(JsonValue::as_int)
+    fn opt_int(&self, key: &str) -> Result<Option<u64>, String> {
+        self.map
+            .get(key)
+            .map(|v| {
+                v.as_int()
+                    .ok_or_else(|| format!("field '{key}' is not an integer"))
+            })
+            .transpose()
+    }
+
+    fn u32(&self, key: &str) -> Result<u32, String> {
+        narrow_u32(key, self.int(key)?)
+    }
+
+    fn opt_u32(&self, key: &str) -> Result<Option<u32>, String> {
+        self.opt_int(key)?.map(|v| narrow_u32(key, v)).transpose()
     }
 
     fn str(&self, key: &str) -> Result<&str, String> {
@@ -353,7 +414,7 @@ pub fn parse_record(line: &str) -> Result<TraceRecord, String> {
                 n_procs: f.int("n_procs")? as usize,
                 sets: f.int("sets")? as usize,
                 ways: f.int("ways")? as usize,
-                words_log2: f.int("words_log2")? as u32,
+                words_log2: f.u32("words_log2")?,
                 scheme: f.str("scheme")?.to_owned(),
                 policy: f.str("policy")?.to_owned(),
                 owner_bypass: f.bool("owner_bypass")?,
@@ -373,9 +434,9 @@ pub fn parse_record(line: &str) -> Result<TraceRecord, String> {
             let value = f.int("value")?;
             let hit = f.bool("hit")?;
             let cost_bits = f.int("cost_bits")?;
-            let latency = f.opt_int("latency");
-            let mode = match f.map.get("mode").and_then(JsonValue::as_str) {
-                Some(s) => Some(TraceMode::parse(s).ok_or_else(|| format!("bad mode '{s}'"))?),
+            let latency = f.opt_int("latency")?;
+            let mode = match f.map.get("mode") {
+                Some(_) => Some(f.mode("mode")?),
                 None => None,
             };
             if kind == "read" {
@@ -447,29 +508,29 @@ pub fn parse_record(line: &str) -> Result<TraceRecord, String> {
             ProtocolEvent::FaultInjected {
                 label: FaultLabel::parse(s).ok_or_else(|| format!("bad fault label '{s}'"))?,
                 op: f.int("op")?,
-                layer: f.opt_int("layer").map(|v| v as u32),
-                line: f.opt_int("line").map(|v| v as usize),
-                cache: f.opt_int("cache").map(|v| v as usize),
-                heal_op: f.opt_int("heal_op"),
+                layer: f.opt_u32("layer")?,
+                line: f.opt_int("line")?.map(|v| v as usize),
+                cache: f.opt_int("cache")?.map(|v| v as usize),
+                heal_op: f.opt_int("heal_op")?,
             }
         }
         "retry" => ProtocolEvent::RetryAttempt {
             op: f.int("op")?,
             proc: f.int("proc")? as usize,
             dest: f.int("dest")? as usize,
-            attempt: f.int("attempt")? as u32,
+            attempt: f.u32("attempt")?,
             backoff_cycles: f.int("backoff_cycles")?,
         },
         "degraded" => ProtocolEvent::Degraded {
             op: f.int("op")?,
-            block: f.opt_int("block").map(BlockAddr::new),
-            cache: f.opt_int("cache").map(|v| v as usize),
+            block: f.opt_int("block")?.map(BlockAddr::new),
+            cache: f.opt_int("cache")?.map(|v| v as usize),
             heal_op: f.int("heal_op")?,
         },
         "recovered" => ProtocolEvent::Recovered {
             op: f.int("op")?,
-            block: f.opt_int("block").map(BlockAddr::new),
-            cache: f.opt_int("cache").map(|v| v as usize),
+            block: f.opt_int("block")?.map(BlockAddr::new),
+            cache: f.opt_int("cache")?.map(|v| v as usize),
             after_ops: f.int("after_ops")?,
         },
         other => return Err(format!("unknown record type '{other}'")),
@@ -478,30 +539,42 @@ pub fn parse_record(line: &str) -> Result<TraceRecord, String> {
 }
 
 /// Writes trace records to any [`Write`] sink, one JSON line each.
+///
+/// Each record is encoded into one reused line buffer and handed to the
+/// sink in a single `write_all`; once the buffer has held the longest line,
+/// writing an event acquires no heap memory of its own.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     out: W,
     events: u64,
+    line: Vec<u8>,
 }
 
 impl<W: Write> TraceWriter<W> {
     /// Wraps `out` and writes the header line.
-    pub fn new(mut out: W, header: &TraceHeader) -> io::Result<Self> {
-        writeln!(
+    pub fn new(out: W, header: &TraceHeader) -> io::Result<Self> {
+        let mut w = TraceWriter {
             out,
-            "{}",
-            encode_record(&TraceRecord::Header(header.clone()))
-        )?;
-        Ok(TraceWriter { out, events: 0 })
+            events: 0,
+            line: Vec::new(),
+        };
+        encode_header_into(header, &mut w.line);
+        w.write_line()?;
+        Ok(w)
+    }
+
+    /// Terminates the buffered line, writes it, and empties the buffer.
+    fn write_line(&mut self) -> io::Result<()> {
+        self.line.push(b'\n');
+        let result = self.out.write_all(&self.line);
+        self.line.clear();
+        result
     }
 
     /// Writes one event line.
     pub fn event(&mut self, event: &ProtocolEvent) -> io::Result<()> {
-        writeln!(
-            self.out,
-            "{}",
-            encode_record(&TraceRecord::Event(event.clone()))
-        )?;
+        encode_event_into(event, &mut self.line);
+        self.write_line()?;
         self.events += 1;
         Ok(())
     }
@@ -516,11 +589,8 @@ impl<W: Write> TraceWriter<W> {
     /// `trailer.events` is overwritten with the actual count written.
     pub fn finish(mut self, mut trailer: TraceTrailer) -> io::Result<W> {
         trailer.events = self.events;
-        writeln!(
-            self.out,
-            "{}",
-            encode_record(&TraceRecord::Trailer(trailer))
-        )?;
+        encode_trailer_into(&trailer, &mut self.line);
+        self.write_line()?;
         self.out.flush()?;
         Ok(self.out)
     }
@@ -810,10 +880,74 @@ mod tests {
     }
 
     #[test]
+    fn parse_record_rejects_hostile_fields() {
+        let bad = [
+            // Narrowing must not wrap: 2^32 + 1 is not layer 1.
+            r#"{"type":"cast","from":0,"scheme":"bitvector","payload_bits":1,"cost_bits":1,"links":[[4294967297,0,1]]}"#,
+            r#"{"type":"retry","op":1,"proc":0,"dest":1,"attempt":4294967298,"backoff_cycles":0}"#,
+            r#"{"type":"fault","label":"link_down","op":1,"layer":4294967296}"#,
+            r#"{"type":"header","version":1,"n_procs":4,"sets":2,"ways":2,"words_log2":4294967298,"scheme":"combined","policy":"fixed-dw","owner_bypass":false}"#,
+            // The last duplicate must not silently win.
+            r#"{"type":"issue","proc":1,"proc":2,"cycle":0}"#,
+            // Literals are matched, not skipped over.
+            r#"{"type":"miss","proc":0,"block":0,"write":tXYZ,"cold":fnord}"#,
+            // An optional field of the wrong type is an error, not absent.
+            r#"{"type":"read","proc":0,"addr":0,"value":0,"hit":true,"cost_bits":0,"latency":"soon"}"#,
+            r#"{"type":"write","proc":0,"addr":0,"value":0,"hit":true,"cost_bits":0,"mode":7}"#,
+            r#"{"type":"degraded","op":1,"cache":true,"heal_op":2}"#,
+        ];
+        for line in bad {
+            assert!(parse_record(line).is_err(), "accepted: {line}");
+        }
+        let err = parse_record(bad[1]).unwrap_err();
+        assert!(
+            err.contains("attempt"),
+            "error does not name the field: {err}"
+        );
+        let err = parse_record(bad[0]).unwrap_err();
+        assert!(
+            err.contains("layer"),
+            "error does not name the field: {err}"
+        );
+    }
+
+    #[test]
+    fn event_fold_matches_hash_of_written_lines() {
+        let mut w = TraceWriter::new(Vec::new(), &header()).unwrap();
+        for e in sample_events() {
+            w.event(&e).unwrap();
+        }
+        let text = w.finish(TraceTrailer {
+            events: 0,
+            fingerprint: 0,
+            total_bits: 0,
+            links: vec![],
+        });
+        let text = String::from_utf8(text.unwrap()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let body: String = lines[1..lines.len() - 1]
+            .iter()
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let events = sample_events();
+        assert_eq!(
+            fnv1a64_fold_events(FNV1A64_BASIS, &events),
+            fnv1a64(body.as_bytes())
+        );
+        // Folding in two pieces continues the same stream.
+        let (a, b) = events.split_at(5);
+        assert_eq!(
+            fnv1a64_fold_events(fnv1a64_fold_events(FNV1A64_BASIS, a), b),
+            fnv1a64(body.as_bytes())
+        );
+    }
+
+    #[test]
     fn fnv1a64_matches_reference_vectors() {
         // Published FNV-1a test vectors.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a64_fold(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
     }
 }

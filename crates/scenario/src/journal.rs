@@ -23,30 +23,15 @@ use std::path::{Path, PathBuf};
 use tmc_bench::shardsim::ShardOp;
 use tmc_core::{decode_system, encode_system, memory_digest, recover_journal, Journal, System};
 use tmc_memsys::{ReferenceMemory, WordAddr};
-use tmc_obs::jsonl::{encode_record, fnv1a64};
-use tmc_obs::TraceRecord;
+use tmc_obs::jsonl::{fnv1a64, fnv1a64_fold, fnv1a64_fold_events, FNV1A64_BASIS};
 
 use crate::ops::materialize;
 use crate::run::{counters_of, link_checksum, ScenarioOutcome};
 use crate::spec::Scenario;
 use tmc_bench::tracecheck::nonzero_links;
 
-/// FNV-1a 64-bit offset basis — the empty-input state of the streaming
-/// checksums, chosen so a finished stream equals
-/// [`fnv1a64`] over the concatenated bytes.
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Version tag of the runner frame layout (wraps the machine snapshot).
 const FRAME_VERSION: u32 = 1;
-
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// How to drive a journaled run.
 #[derive(Debug, Clone)]
@@ -133,23 +118,18 @@ impl RunnerState {
             ops_done: 0,
             reads: 0,
             writes: 0,
-            reads_fnv: FNV_BASIS,
+            reads_fnv: FNV1A64_BASIS,
             events: 0,
-            trace_fnv: FNV_BASIS,
+            trace_fnv: FNV1A64_BASIS,
         })
     }
 
     /// Folds the tracer's pending events into the streaming accumulators
     /// (the machine snapshot requires a drained tracer).
     fn drain(&mut self) {
-        for e in self.sys.drain_trace() {
-            self.events += 1;
-            self.trace_fnv = fnv_fold(
-                self.trace_fnv,
-                encode_record(&TraceRecord::Event(e)).as_bytes(),
-            );
-            self.trace_fnv = fnv_fold(self.trace_fnv, b"\n");
-        }
+        let events = self.sys.drain_trace();
+        self.events += events.len() as u64;
+        self.trace_fnv = fnv1a64_fold_events(self.trace_fnv, &events);
     }
 
     /// One checkpoint frame: runner accumulators, oracle image, machine
@@ -340,7 +320,7 @@ fn drive(
                     ));
                 }
                 state.reads += 1;
-                state.reads_fnv = fnv_fold(state.reads_fnv, &got.to_le_bytes());
+                state.reads_fnv = fnv1a64_fold(state.reads_fnv, &got.to_le_bytes());
             }
             ShardOp::Write { proc, addr, value } => {
                 state

@@ -1,13 +1,15 @@
 //! Golden-trace round-trip: capture one small scenario's JSONL trace,
 //! pin the FNV-1a trailer against an independent recomputation, and
-//! prove decode → re-encode reproduces the capture byte for byte.
+//! prove decode → re-encode reproduces the capture byte for byte. A
+//! journaled run's streaming trace checksum must hash exactly those
+//! event lines, and one corpus scenario's checksum is pinned.
 
 use tmc_bench::shardsim::apply_script;
 use tmc_bench::tracecheck::capture;
 use tmc_core::System;
 use tmc_obs::jsonl::{encode_record, fnv1a64, parse_record, TraceRecord};
 use tmc_scenario::ops::materialize;
-use tmc_scenario::{corpus, parse, run_scenario};
+use tmc_scenario::{corpus, parse, run_journaled, run_scenario, JournalOptions};
 
 const SCENARIO: &str = "\
 [scenario]
@@ -61,6 +63,40 @@ fn jsonl_trace_roundtrips_byte_identically() {
     let outcome = run_scenario(&sc).unwrap();
     assert_eq!(outcome.fingerprint, want_fingerprint);
     assert_eq!(outcome.total_bits, want_bits);
+}
+
+fn journaled_trace_checksum(sc: &tmc_scenario::Scenario, file: &str) -> u64 {
+    let dir = std::env::temp_dir().join("tmc-trace-roundtrip");
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = run_journaled(sc, &JournalOptions::new(dir.join(file), 50)).unwrap();
+    report.outcome.unwrap().trace_checksum
+}
+
+#[test]
+fn journaled_trace_checksum_hashes_the_written_event_lines() {
+    let sc = parse(SCENARIO).unwrap();
+    let text = capture(sc.config(), |sys| apply_script(sys, &materialize(&sc))).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let events: String = lines[1..lines.len() - 1]
+        .iter()
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(
+        journaled_trace_checksum(&sc, "roundtrip.journal"),
+        fnv1a64(events.as_bytes())
+    );
+
+    // A value written into committed journals and printed by
+    // `tmc scenario run --journal`; it must not move.
+    let entries = corpus::load_dir(&corpus::default_dir()).unwrap();
+    let (_, crossover) = entries
+        .iter()
+        .find(|(_, sc)| sc.name == "adaptive-crossover")
+        .expect("adaptive-crossover is in the corpus");
+    assert_eq!(
+        journaled_trace_checksum(crossover, "crossover.journal"),
+        0x785d_9c6b_a416_4ed2
+    );
 }
 
 /// The committed corpus parses, and re-encoding a parsed scenario is a
