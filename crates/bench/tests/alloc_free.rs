@@ -7,7 +7,9 @@
 //! * `DestSet` algebra in both its small-list and bitmap layouts,
 //! * re-writes and reads against already-materialized `MainMemory` /
 //!   `BlockStore` pages,
-//! * the `CastCache` memo-hit path through a 1024-port omega network,
+//! * the `CastCache` memo-hit path through a 64-port omega network,
+//! * a direct (unmemoized) combined-scheme cast through a 1024-port
+//!   omega network,
 //! * `TraceWriter::event` encoding every protocol event variant into a
 //!   reserved JSONL sink.
 //!
@@ -74,6 +76,7 @@ fn hot_paths_allocate_nothing_after_warmup() {
     destset_small_and_bitmap_ops_are_allocation_free();
     materialized_pages_are_allocation_free();
     castcache_hits_are_allocation_free();
+    wide_direct_casts_are_allocation_free();
     batched_pipeline_is_allocation_free();
     trace_writer_events_are_allocation_free();
 }
@@ -187,49 +190,80 @@ fn materialized_pages_are_allocation_free() {
     assert_eq!(n, 0, "materialized-page access allocated {n} times");
 }
 
-/// The multicast memo table at full network width: after one recorded
-/// miss, repeat casts of the same sharer set replay link charges and
-/// refill the caller's delivery buffer without touching the heap.
+/// The multicast memo table at its widest memoized network (64 ports,
+/// one-word sets): after one recorded miss, repeat casts of the same
+/// sharer set replay link charges and refill the caller's delivery buffer
+/// without touching the heap.
 fn castcache_hits_are_allocation_free() {
-    let net = Omega::new(10).expect("1024-port omega");
+    let net = Omega::new(6).expect("64-port omega");
     let mut cache = CastCache::new();
     let mut traffic = TrafficMatrix::new(&net);
     let mut delivered = Vec::new();
-    let dests = DestSet::from_ports(N_PORTS, (0..48).map(|i| i * 21)).expect("ports");
+    let dests = DestSet::from_ports(64, (0..21).map(|i| i * 3)).expect("ports");
 
-    cache
-        .multicast_into(
-            &net,
-            SchemeKind::Combined,
-            5,
-            &dests,
-            128,
-            &mut traffic,
-            &mut delivered,
-            None,
-        )
-        .expect("warmup cast");
+    let mut cast = |cache: &mut CastCache| {
+        cache
+            .multicast_into(
+                &net,
+                SchemeKind::Combined,
+                5,
+                &dests,
+                128,
+                &mut traffic,
+                &mut delivered,
+                None,
+            )
+            .expect("cast");
+    };
+    cast(&mut cache);
     assert_eq!(cache.misses(), 1);
 
     let n = allocations(|| {
         for _ in 0..64 {
-            cache
-                .multicast_into(
-                    &net,
-                    SchemeKind::Combined,
-                    5,
-                    &dests,
-                    128,
-                    &mut traffic,
-                    &mut delivered,
-                    None,
-                )
-                .expect("hit cast");
+            cast(&mut cache);
         }
-        assert_eq!(delivered.len(), 48);
     });
     assert_eq!(n, 0, "CastCache hit path allocated {n} times");
-    assert_eq!(cache.hits(), 64);
+    assert_eq!((cache.hits(), cache.misses()), (64, 1));
+    assert_eq!(delivered.len(), 21);
+}
+
+/// A multicast at full network width: 1024-port sets are not memoized,
+/// so every cast walks the routing tree straight into the live matrix.
+/// After one warm-up sizes the delivery buffer, the combined scheme's
+/// costing and traversal touch the heap zero times.
+fn wide_direct_casts_are_allocation_free() {
+    let net = Omega::new(10).expect("1024-port omega");
+    let mut cache = CastCache::new();
+    let mut traffic = TrafficMatrix::new(&net);
+    let mut delivered = Vec::new();
+    let dests = DestSet::from_ports(N_PORTS, (0..241).map(|i| i * 4 + 1)).expect("ports");
+
+    let mut cast = |cache: &mut CastCache| {
+        cache
+            .multicast_into(
+                &net,
+                SchemeKind::Combined,
+                5,
+                &dests,
+                128,
+                &mut traffic,
+                &mut delivered,
+                None,
+            )
+            .expect("cast")
+    };
+    let (scheme, cost) = cast(&mut cache);
+
+    let n = allocations(|| {
+        for _ in 0..64 {
+            assert_eq!(cast(&mut cache), (scheme, cost));
+        }
+    });
+    assert_eq!(n, 0, "direct wide cast allocated {n} times");
+    assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 65, 0));
+    assert_eq!(delivered.len(), 241);
+    assert_eq!(traffic.total_bits(), 65 * cost);
 }
 
 /// The batched reference pipeline end to end at full machine scale:

@@ -730,7 +730,19 @@ pub fn decode_system(bytes: &[u8]) -> Result<System, SnapshotError> {
         if owner as usize >= n_caches {
             return Err(corrupt(format!("store owner C{owner} out of range")));
         }
-        sys.store.set_owner(BlockAddr::new(block), CacheId(owner));
+        // Invariant 1: the entry must name the cache holding the block's
+        // Owned line. Checking against the already-decoded caches also
+        // keeps a wild block address from growing the paged store.
+        let block = BlockAddr::new(block);
+        if !sys.caches[owner as usize]
+            .peek(block)
+            .is_some_and(CacheLine::is_owned)
+        {
+            return Err(corrupt(format!(
+                "store entry {block} names C{owner}, which holds no owned line for it"
+            )));
+        }
+        sys.store.set_owner(block, CacheId(owner));
     }
 
     // Fault state.
@@ -1197,6 +1209,36 @@ mod tests {
             resumed.counters().iter().collect::<Vec<_>>()
         );
         assert_eq!(memory_digest(&live), memory_digest(&resumed));
+    }
+
+    #[test]
+    fn store_entry_without_an_owned_line_is_rejected() {
+        // One owned block, no faults: the payload ends with the store's
+        // single (block u64, owner u16) entry and the no-faults flag.
+        let mut sys = System::new(SystemConfig::new(4)).unwrap();
+        sys.write(2, WordAddr::new(8), 5).unwrap();
+        let mut bytes = encode_system(&sys).unwrap();
+        let at = bytes.len() - 1 - 2 - 8;
+        let stored = sys.store.iter().next().unwrap().0.index();
+        assert_eq!(bytes[at..at + 8], stored.to_le_bytes());
+        assert!(decode_system(&bytes).is_ok());
+
+        // A wild block address used to grow the paged store until the
+        // allocator aborted the process.
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 48).to_le_bytes());
+        match decode_system(&bytes) {
+            Err(SnapshotError::Corrupt(why)) => assert!(why.contains("no owned line"), "{why}"),
+            other => panic!("expected a corrupt-snapshot error, got {other:?}"),
+        }
+
+        // The right block under the wrong owner is rejected the same way.
+        bytes[at..at + 8].copy_from_slice(&stored.to_le_bytes());
+        let owner_at = bytes.len() - 1 - 2;
+        bytes[owner_at..owner_at + 2].copy_from_slice(&3u16.to_le_bytes());
+        assert!(matches!(
+            decode_system(&bytes),
+            Err(SnapshotError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -571,10 +571,10 @@ impl System {
         let mut delivered = std::mem::take(&mut self.cast_delivered);
         self.cast_charges.clear();
         let record = self.tracer.is_enabled().then_some(&mut self.cast_charges);
-        // Multicasts bill the live traffic matrix even mid-batch (the
-        // traversal needs the full matrix shape and is already memoized);
-        // link adds commute with the batch's deferred unicast deltas, so
-        // the flushed totals are identical either way.
+        // Multicasts bill the live traffic matrix even mid-batch (the cast
+        // cache takes the matrix itself); link adds commute with the
+        // batch's deferred unicast deltas, so the flushed totals are
+        // identical either way.
         let t = self.profiler.start();
         let (scheme, cost_bits) = self
             .cast_cache

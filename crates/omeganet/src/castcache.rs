@@ -5,8 +5,13 @@
 //! payload)` cast on every write. The tree walk that computes its cost and
 //! link charges is deterministic, so a [`CastCache`] records the outcome the
 //! first time and replays the per-link charges on every repeat — turning the
-//! `O(n · m)` switch-by-switch traversal (with its partition allocations)
-//! into a hash lookup plus an `O(links touched)` replay.
+//! `O(n · m)` switch-by-switch traversal into a hash lookup plus an
+//! `O(links touched)` replay.
+//!
+//! Only one-word destination sets (networks of at most 64 ports) are
+//! memoized. Wider sets rarely repeat — on a 1024-port Zipfian run fewer
+//! than 1% of casts hit — so they are traversed straight into the
+//! caller's traffic matrix, which costs less than recording a miss.
 
 use std::collections::HashMap;
 
@@ -14,7 +19,10 @@ use crate::destset::DestSet;
 use crate::error::NetError;
 use crate::multicast::{CastReceipt, SchemeChoice, SchemeKind};
 use crate::topology::{LinkId, Omega, PortId};
-use crate::traffic::TrafficMatrix;
+use crate::traffic::{ChargeSink, TrafficMatrix};
+
+/// Largest network whose destination sets are memoized: one inline word.
+const MEMO_MAX_PORTS: usize = 64;
 
 /// Everything that determines a cast's outcome on a fixed network.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -33,14 +41,50 @@ struct CachedCast {
     charges: Vec<(LinkId, u64)>,
 }
 
+/// Bills the live matrix and appends every raw charge to a list.
+struct Recording<'a> {
+    live: &'a mut TrafficMatrix,
+    charges: &'a mut Vec<(LinkId, u64)>,
+}
+
+impl ChargeSink for Recording<'_> {
+    #[inline]
+    fn charge(&mut self, link: LinkId, bits: u64) {
+        self.live.charge(link, bits);
+        self.charges.push((link, bits));
+    }
+}
+
+/// Puts `charges[start..]` in ledger form: ascending `(layer, line)`, one
+/// entry per link with the charges to it summed (replicated unicasts share
+/// links), and no zero-bit entries.
+fn to_ledger_order(charges: &mut Vec<(LinkId, u64)>, start: usize) {
+    charges[start..].sort_unstable_by_key(|&(link, _)| link);
+    let mut kept = start;
+    for i in start..charges.len() {
+        let (link, bits) = charges[i];
+        if bits == 0 {
+            continue;
+        }
+        if kept > start && charges[kept - 1].0 == link {
+            charges[kept - 1].1 += bits;
+        } else {
+            charges[kept] = (link, bits);
+            kept += 1;
+        }
+    }
+    charges.truncate(kept);
+}
+
 /// A memo table for [`Omega::multicast`] results.
 ///
-/// Keys are `(scheme, source, destination set, payload)`. Destination sets
-/// of up to 64 ports hash as a single inline word, so lookups on the
-/// protocol fast path are cheap. The table is bounded: when it reaches
-/// [`CastCache::MAX_ENTRIES`] distinct casts it is flushed wholesale (a
-/// workload that varies its casts that much gets little from memoization
-/// anyway).
+/// Keys are `(scheme, source, destination set, payload)` and are built
+/// only for networks of at most 64 ports, whose destination sets hash as a
+/// single inline word. Casts on wider networks bypass the table: they
+/// traverse directly into the caller's matrix and count as misses. The
+/// table is bounded: when it reaches [`CastCache::MAX_ENTRIES`] distinct
+/// casts it is flushed wholesale (a workload that varies its casts that
+/// much gets little from memoization anyway).
 ///
 /// # Example
 ///
@@ -61,12 +105,6 @@ struct CachedCast {
 #[derive(Clone, Default)]
 pub struct CastCache {
     map: HashMap<CastKey, CachedCast>,
-    /// Reused zero-filled matrix for recording a miss's charges.
-    scratch: Option<TrafficMatrix>,
-    /// Reused lookup key: probing with `clone_from` recycles the key's
-    /// destination-set storage, so even heap-bitmap sets hit the memo table
-    /// without allocating.
-    probe: Option<CastKey>,
     hits: u64,
     misses: u64,
 }
@@ -104,8 +142,8 @@ impl CastCache {
     /// [`CastCache::multicast`] that additionally appends the cast's
     /// per-link charges to `record` when one is supplied — the hook trace
     /// sinks use to attribute bits to individual links. Charges come back
-    /// in `(layer, line)` order whether the cast hit or missed the memo
-    /// table, and nothing is appended on error.
+    /// in ascending `(layer, line)` order, one nonzero entry per link,
+    /// whichever path the cast took, and nothing is appended on error.
     #[allow(clippy::too_many_arguments)]
     pub fn multicast_recording(
         &mut self,
@@ -117,15 +155,31 @@ impl CastCache {
         traffic: &mut TrafficMatrix,
         record: Option<&mut Vec<(LinkId, u64)>>,
     ) -> Result<CastReceipt, NetError> {
-        let cached = self.cast_cached(net, kind, src, dests, payload_bits, traffic, record)?;
-        Ok(cached.receipt.clone())
+        let mut delivered = Vec::with_capacity(dests.len());
+        let (scheme, cost_bits, links_crossed) = self.cast(
+            net,
+            kind,
+            src,
+            dests,
+            payload_bits,
+            traffic,
+            &mut delivered,
+            record,
+        )?;
+        Ok(CastReceipt {
+            scheme,
+            delivered,
+            cost_bits,
+            links_crossed,
+        })
     }
 
     /// [`CastCache::multicast_recording`] without the receipt allocation:
     /// the delivered-port list is written into the caller's reusable
     /// `delivered` buffer (cleared first) and only the resolved scheme and
     /// cost come back by value. This is the protocol hot path — a memoized
-    /// hit allocates nothing.
+    /// hit, and a wide cast with `record` unset, allocate nothing once
+    /// `delivered` has grown to size.
     ///
     /// # Errors
     ///
@@ -143,18 +197,24 @@ impl CastCache {
         delivered: &mut Vec<PortId>,
         record: Option<&mut Vec<(LinkId, u64)>>,
     ) -> Result<(SchemeChoice, u64), NetError> {
-        delivered.clear();
-        let cached = self.cast_cached(net, kind, src, dests, payload_bits, traffic, record)?;
-        delivered.extend_from_slice(&cached.receipt.delivered);
-        Ok((cached.receipt.scheme, cached.receipt.cost_bits))
+        let (scheme, cost_bits, _) = self.cast(
+            net,
+            kind,
+            src,
+            dests,
+            payload_bits,
+            traffic,
+            delivered,
+            record,
+        )?;
+        Ok((scheme, cost_bits))
     }
 
-    /// Shared lookup: replay a memoized cast's charges, or traverse and
-    /// memoize on a miss. The lookup key is a reusable scratch whose
-    /// destination set is refreshed with `clone_from`, so the hit path
-    /// allocates nothing even when the set is a heap bitmap.
+    /// Shared entry: bill a wide cast directly, or replay a memoized
+    /// one-word cast, or traverse and memoize it on a miss. Returns the
+    /// resolved scheme, the cost and the number of links crossed.
     #[allow(clippy::too_many_arguments)]
-    fn cast_cached(
+    fn cast(
         &mut self,
         net: &Omega,
         kind: SchemeKind,
@@ -162,80 +222,71 @@ impl CastCache {
         dests: &DestSet,
         payload_bits: u64,
         traffic: &mut TrafficMatrix,
+        delivered: &mut Vec<PortId>,
         record: Option<&mut Vec<(LinkId, u64)>>,
-    ) -> Result<&CachedCast, NetError> {
-        let probe = match &mut self.probe {
-            Some(p) => {
-                p.kind = kind;
-                p.src = src;
-                p.payload_bits = payload_bits;
-                p.dests.clone_from(dests);
-                p
-            }
-            slot => slot.insert(CastKey {
-                kind,
-                src,
-                payload_bits,
-                dests: dests.clone(),
-            }),
+    ) -> Result<(SchemeChoice, u64, usize), NetError> {
+        delivered.clear();
+        if dests.n_ports() > MEMO_MAX_PORTS {
+            let outcome = match record {
+                None => net.cast_into(kind, src, dests, payload_bits, traffic, delivered)?,
+                Some(out) => {
+                    let start = out.len();
+                    let mut sink = Recording {
+                        live: traffic,
+                        charges: out,
+                    };
+                    let outcome =
+                        net.cast_into(kind, src, dests, payload_bits, &mut sink, delivered)?;
+                    to_ledger_order(out, start);
+                    outcome
+                }
+            };
+            self.misses += 1;
+            return Ok(outcome);
+        }
+
+        // One-word sets: the key is plain data, so building it never
+        // allocates.
+        let key = CastKey {
+            kind,
+            src,
+            payload_bits,
+            dests: dests.clone(),
         };
-        if self.map.contains_key(probe) {
+        if let Some(cached) = self.map.get(&key) {
             self.hits += 1;
-            let cached = self.map.get(probe).expect("checked present");
             for &(link, bits) in &cached.charges {
                 traffic.add(link, bits);
             }
             if let Some(out) = record {
                 out.extend_from_slice(&cached.charges);
             }
-            return Ok(cached);
+            let r = &cached.receipt;
+            delivered.extend_from_slice(&r.delivered);
+            return Ok((r.scheme, r.cost_bits, r.links_crossed));
         }
-        let key = probe.clone();
-        self.record_miss(net, key, traffic, record)
-    }
 
-    /// Miss path shared by the lookup entry points: run the real traversal
-    /// into a private scratch matrix so the charges can be captured, replay
-    /// them into the caller's, and memoize the outcome.
-    fn record_miss(
-        &mut self,
-        net: &Omega,
-        key: CastKey,
-        traffic: &mut TrafficMatrix,
-        record: Option<&mut Vec<(LinkId, u64)>>,
-    ) -> Result<&CachedCast, NetError> {
-        let layers = net.link_layers() as usize;
-        let scratch = match &mut self.scratch {
-            Some(s) if s.n_ports() == net.ports() && s.layers() == layers => {
-                s.clear();
-                s
-            }
-            slot => slot.insert(TrafficMatrix::new(net)),
-        };
-        let receipt = net.multicast(key.kind, key.src, &key.dests, key.payload_bits, scratch)?;
-        self.misses += 1;
         let mut charges = Vec::new();
-        for layer in 0..layers as u32 {
-            for line in 0..net.ports() {
-                let link = LinkId { layer, line };
-                let bits = scratch.link_bits(link);
-                if bits > 0 {
-                    charges.push((link, bits));
-                    traffic.add(link, bits);
-                }
-            }
-        }
+        let mut sink = Recording {
+            live: traffic,
+            charges: &mut charges,
+        };
+        let receipt = net.multicast(kind, src, dests, payload_bits, &mut sink)?;
+        self.misses += 1;
+        to_ledger_order(&mut charges, 0);
+        // The raw list can be several times the merged one (replicated
+        // unicasts repeat shared links); memo entries keep only the latter.
+        charges.shrink_to_fit();
         if let Some(out) = record {
             out.extend_from_slice(&charges);
         }
+        delivered.extend_from_slice(&receipt.delivered);
+        let outcome = (receipt.scheme, receipt.cost_bits, receipt.links_crossed);
         if self.map.len() >= Self::MAX_ENTRIES {
             self.map.clear();
         }
-        Ok(self
-            .map
-            .entry(key)
-            .insert_entry(CachedCast { receipt, charges })
-            .into_mut())
+        self.map.insert(key, CachedCast { receipt, charges });
+        Ok(outcome)
     }
 
     /// Number of memoized replay hits so far.
@@ -435,6 +486,59 @@ mod tests {
             assert_eq!(rec_total, cost, "pass {pass}");
         }
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
+    }
+
+    #[test]
+    fn wide_casts_bill_directly_and_are_never_memoized() {
+        let net = Omega::new(8).unwrap();
+        let sets = [
+            DestSet::from_ports(256, [3usize, 70, 200]).unwrap(),
+            DestSet::worst_case_spread(256, 32).unwrap(),
+            DestSet::subcube(256, 64, 5).unwrap(),
+        ];
+        let mut cache = CastCache::new();
+        let mut delivered = Vec::new();
+        let mut casts = 0;
+        for kind in [
+            SchemeKind::Replicated,
+            SchemeKind::BitVector,
+            SchemeKind::BroadcastTag,
+            SchemeKind::Combined,
+        ] {
+            // Payload 0 gives scheme 1 and scheme 3 zero-bit last-layer
+            // links, which the recorded ledger must leave out.
+            for payload in [0, 37] {
+                for dests in &sets {
+                    let mut direct = TrafficMatrix::new(&net);
+                    let want = net.multicast(kind, 9, dests, payload, &mut direct).unwrap();
+                    let mut via = TrafficMatrix::new(&net);
+                    let mut rec = vec![(LinkId { layer: 0, line: 0 }, 1)];
+                    let (scheme, cost) = cache
+                        .multicast_into(
+                            &net,
+                            kind,
+                            9,
+                            dests,
+                            payload,
+                            &mut via,
+                            &mut delivered,
+                            Some(&mut rec),
+                        )
+                        .unwrap();
+                    casts += 1;
+                    assert_eq!((scheme, cost), (want.scheme, want.cost_bits));
+                    assert_eq!(delivered, want.delivered);
+                    assert_eq!(via, direct);
+                    // The entry already in the record is left alone.
+                    assert_eq!(rec[0], (LinkId { layer: 0, line: 0 }, 1));
+                    let ledger = &rec[1..];
+                    assert!(ledger.windows(2).all(|w| w[0].0 < w[1].0));
+                    assert!(ledger.iter().all(|&(l, bits)| via.link_bits(l) == bits));
+                    assert_eq!(ledger.len(), via.links_used());
+                }
+            }
+        }
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, casts, 0));
     }
 
     #[test]

@@ -30,6 +30,10 @@ use crate::error::NetError;
 use crate::topology::{LinkId, Omega, PortId};
 use crate::traffic::{ChargeSink, TrafficMatrix};
 
+/// Largest stage count [`Omega::new`] accepts; sizes the fixed traversal
+/// stacks and the cost histogram.
+const MAX_STAGES: usize = 16;
+
 /// Which multicast scheme to use for a cast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -215,41 +219,71 @@ impl Omega {
     }
 
     /// Multicasts `payload_bits` from `src` to `dests` using `kind`,
-    /// charging every crossed link in `traffic`.
+    /// charging every crossed link in `traffic` — the live
+    /// [`TrafficMatrix`] or any other [`ChargeSink`].
     ///
     /// # Errors
     ///
     /// * [`NetError::EmptyDestSet`] if `dests` is empty,
     /// * [`NetError::SizeMismatch`] if `dests` was built for another size,
     /// * [`NetError::PortOutOfRange`] if `src` is invalid.
-    pub fn multicast(
+    pub fn multicast<S: ChargeSink>(
         &self,
         kind: SchemeKind,
         src: PortId,
         dests: &DestSet,
         payload_bits: u64,
-        traffic: &mut TrafficMatrix,
+        traffic: &mut S,
     ) -> Result<CastReceipt, NetError> {
+        let mut delivered = Vec::with_capacity(dests.len());
+        let (scheme, cost_bits, links_crossed) =
+            self.cast_into(kind, src, dests, payload_bits, traffic, &mut delivered)?;
+        Ok(CastReceipt {
+            scheme,
+            delivered,
+            cost_bits,
+            links_crossed,
+        })
+    }
+
+    /// [`Omega::multicast`] without the receipt: the delivered ports go
+    /// into `delivered` (cleared first, ascending) and the resolved scheme,
+    /// cost and link count come back by value. With a warm `delivered`
+    /// buffer this allocates nothing.
+    pub(crate) fn cast_into<S: ChargeSink>(
+        &self,
+        kind: SchemeKind,
+        src: PortId,
+        dests: &DestSet,
+        payload_bits: u64,
+        sink: &mut S,
+        delivered: &mut Vec<PortId>,
+    ) -> Result<(SchemeChoice, u64, usize), NetError> {
         self.check_port(src)?;
         dests.check_net(self)?;
         if dests.is_empty() {
             return Err(NetError::EmptyDestSet);
         }
-        let receipt = match kind {
-            SchemeKind::Replicated => self.cast_replicated(src, dests, payload_bits, traffic),
-            SchemeKind::BitVector => self.cast_bitvector(src, dests, payload_bits, traffic),
-            SchemeKind::BroadcastTag => self.cast_broadcast_tag(src, dests, payload_bits, traffic),
-            SchemeKind::Combined => {
-                let choice = self.cheapest_scheme(dests, payload_bits);
-                let concrete = match choice {
-                    SchemeChoice::Replicated => SchemeKind::Replicated,
-                    SchemeChoice::BitVector => SchemeKind::BitVector,
-                    SchemeChoice::BroadcastTag => SchemeKind::BroadcastTag,
-                };
-                return self.multicast(concrete, src, dests, payload_bits, traffic);
+        delivered.clear();
+        let scheme = match kind {
+            SchemeKind::Replicated => SchemeChoice::Replicated,
+            SchemeKind::BitVector => SchemeChoice::BitVector,
+            SchemeKind::BroadcastTag => SchemeChoice::BroadcastTag,
+            SchemeKind::Combined => self.cheapest_scheme(dests, payload_bits),
+        };
+        let (cost, links) = match scheme {
+            SchemeChoice::Replicated => {
+                self.cast_replicated(src, dests, payload_bits, sink, delivered)
+            }
+            SchemeChoice::BitVector => {
+                self.cast_bitvector(src, dests, payload_bits, sink, delivered)
+            }
+            SchemeChoice::BroadcastTag => {
+                self.cast_broadcast_tag(src, dests, payload_bits, sink, delivered)
             }
         };
-        Ok(receipt)
+        debug_assert!(delivered.windows(2).all(|w| w[0] < w[1]));
+        Ok((scheme, cost, links))
     }
 
     /// Exact communication cost of casting `payload_bits` to `dests` with
@@ -323,7 +357,7 @@ impl Omega {
         // they differ; the number of distinct j-bit prefixes is then
         // 1 + (pairs differing at bit m−j or above) — no per-layer dedup
         // pass and no allocation.
-        let mut splits = [0u64; 16];
+        let mut splits = [0u64; MAX_STAGES];
         let mut prev: Option<usize> = None;
         for d in dests.iter() {
             if let Some(p) = prev {
@@ -369,68 +403,64 @@ impl Omega {
     // Traversals.
     // ------------------------------------------------------------------
 
-    fn cast_replicated(
+    fn cast_replicated<S: ChargeSink>(
         &self,
         src: PortId,
         dests: &DestSet,
         payload: u64,
-        traffic: &mut TrafficMatrix,
-    ) -> CastReceipt {
+        sink: &mut S,
+        delivered: &mut Vec<PortId>,
+    ) -> (u64, usize) {
         let mut cost = 0;
-        let mut links = 0;
-        let mut delivered = Vec::with_capacity(dests.len());
         for dst in dests.iter() {
             cost += self
-                .charge_unicast(src, dst, payload, traffic)
+                .charge_unicast(src, dst, payload, sink)
                 .expect("ports pre-validated");
-            links += self.link_layers() as usize;
             delivered.push(dst);
         }
         debug_assert_eq!(cost, self.cost_replicated(dests.len() as u64, payload));
-        CastReceipt {
-            scheme: SchemeChoice::Replicated,
-            delivered,
-            cost_bits: cost,
-            links_crossed: links,
-        }
+        (cost, dests.len() * self.link_layers() as usize)
     }
 
-    fn cast_bitvector(
+    fn cast_bitvector<S: ChargeSink>(
         &self,
         src: PortId,
         dests: &DestSet,
         payload: u64,
-        traffic: &mut TrafficMatrix,
-    ) -> CastReceipt {
+        sink: &mut S,
+        delivered: &mut Vec<PortId>,
+    ) -> (u64, usize) {
         let m = self.stages();
         let n_ports = self.ports() as u64;
-        let mut cost = 0u64;
-        let mut links = 0usize;
-        let mut delivered = Vec::with_capacity(dests.len());
 
         // Layer 0: source port into its stage-0 switch, full vector.
-        let layer0 = LinkId {
-            layer: 0,
-            line: src,
-        };
         let bits0 = payload + n_ports;
-        traffic.add(layer0, bits0);
-        cost += bits0;
-        links += 1;
+        sink.charge(
+            LinkId {
+                layer: 0,
+                line: src,
+            },
+            bits0,
+        );
+        let mut cost = bits0;
+        let mut links = 1usize;
 
         // Depth-first walk of the routing tree. A switch reached at stage
         // `s` with accumulated destination bits `prefix` covers exactly the
         // ports in `[prefix << (m−s), (prefix+1) << (m−s))`, so "does any
         // destination continue through this output?" is a word-level range
-        // probe on the destination bitmap instead of a per-port partition
-        // (which allocated two fresh vectors at every switch). The stack
-        // holds at most one pending sibling per stage.
-        let mut work: Vec<(u32, usize, usize)> = Vec::with_capacity(m as usize + 1);
-        work.push((0, src, 0));
-        while let Some((stage, line, prefix)) = work.pop() {
-            let shuffled = self.shuffle(line);
-            let sw = shuffled >> 1;
+        // probe on the destination bitmap. The stack holds at most one
+        // pending sibling per stage, so it is a fixed array; the lower
+        // child is popped first, which delivers ports in ascending order.
+        let mut work = [(0u32, 0usize, 0usize); MAX_STAGES];
+        work[0] = (0, src, 0);
+        let mut depth = 1;
+        while depth > 0 {
+            depth -= 1;
+            let (stage, line, prefix) = work[depth];
+            let sw = self.shuffle(line) >> 1;
             let span = m - stage - 1;
+            let base = depth;
             for bit in [0usize, 1] {
                 let child = (prefix << 1) | bit;
                 let lo = child << span;
@@ -440,7 +470,7 @@ impl Omega {
                 let out_line = (sw << 1) | bit;
                 let layer = stage + 1;
                 let bits = payload + (n_ports >> layer);
-                traffic.add(
+                sink.charge(
                     LinkId {
                         layer,
                         line: out_line,
@@ -453,27 +483,26 @@ impl Omega {
                     debug_assert_eq!(out_line, child);
                     delivered.push(out_line);
                 } else {
-                    work.push((stage + 1, out_line, child));
+                    work[depth] = (layer, out_line, child);
+                    depth += 1;
                 }
             }
+            if depth == base + 2 {
+                work.swap(base, base + 1);
+            }
         }
-        delivered.sort_unstable();
         debug_assert_eq!(cost, self.cost_bitvector(dests, payload));
-        CastReceipt {
-            scheme: SchemeChoice::BitVector,
-            delivered,
-            cost_bits: cost,
-            links_crossed: links,
-        }
+        (cost, links)
     }
 
-    fn cast_broadcast_tag(
+    fn cast_broadcast_tag<S: ChargeSink>(
         &self,
         src: PortId,
         dests: &DestSet,
         payload: u64,
-        traffic: &mut TrafficMatrix,
-    ) -> CastReceipt {
+        sink: &mut S,
+        delivered: &mut Vec<PortId>,
+    ) -> (u64, usize) {
         let m = self.stages();
         // Widen to a subcube when needed: the enclosing low-bit subcube is
         // the set an allocator placing tasks adjacently would address.
@@ -486,23 +515,26 @@ impl Omega {
                 (anchor, (1usize << l) - 1)
             }
         };
-        let mut cost = 0u64;
-        let mut links = 0usize;
-        let mut delivered = Vec::new();
 
-        let layer0 = LinkId {
-            layer: 0,
-            line: src,
-        };
         let bits0 = payload + 2 * m as u64;
-        traffic.add(layer0, bits0);
-        cost += bits0;
-        links += 1;
+        sink.charge(
+            LinkId {
+                layer: 0,
+                line: src,
+            },
+            bits0,
+        );
+        let mut cost = bits0;
+        let mut links = 1usize;
 
-        let mut work: Vec<(u32, usize)> = vec![(0, src)];
-        while let Some((stage, line)) = work.pop() {
-            let shuffled = self.shuffle(line);
-            let sw = shuffled >> 1;
+        // Same fixed-stack, lower-child-first walk as scheme 2.
+        let mut work = [(0u32, 0usize); MAX_STAGES];
+        work[0] = (0, src);
+        let mut depth = 1;
+        while depth > 0 {
+            depth -= 1;
+            let (stage, line) = work[depth];
+            let sw = self.shuffle(line) >> 1;
             let bit_pos = m - 1 - stage;
             let broadcast = free_mask >> bit_pos & 1 == 1;
             let wanted_bits: &[usize] = if broadcast {
@@ -512,11 +544,12 @@ impl Omega {
             } else {
                 &[0]
             };
+            let base = depth;
             for &bit in wanted_bits {
                 let out_line = (sw << 1) | bit;
                 let layer = stage + 1;
                 let bits = payload + 2 * (m - layer) as u64;
-                traffic.add(
+                sink.charge(
                     LinkId {
                         layer,
                         line: out_line,
@@ -528,18 +561,16 @@ impl Omega {
                 if layer == m {
                     delivered.push(out_line);
                 } else {
-                    work.push((stage + 1, out_line));
+                    work[depth] = (layer, out_line);
+                    depth += 1;
                 }
             }
+            if depth == base + 2 {
+                work.swap(base, base + 1);
+            }
         }
-        delivered.sort_unstable();
         debug_assert_eq!(cost, self.cost_broadcast_tag(dests, payload));
-        CastReceipt {
-            scheme: SchemeChoice::BroadcastTag,
-            delivered,
-            cost_bits: cost,
-            links_crossed: links,
-        }
+        (cost, links)
     }
 }
 
